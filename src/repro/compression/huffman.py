@@ -44,7 +44,10 @@ from .bitstream import pack_codes, unpack_bits
 __all__ = [
     "HuffmanCode",
     "encode",
+    "encode_ranks",
     "encode_with_code",
+    "encoded_size",
+    "frame_overhead",
     "decode",
     "decode_lut",
     "decode_trie",
@@ -223,26 +226,25 @@ class HuffmanCode:
 # -- encoding -------------------------------------------------------------------
 
 
-def encode(values: np.ndarray, alphabet: Optional[tuple] = None) -> bytes:
-    """Huffman-encode an int64 symbol array; self-describing blob.
-
-    ``alphabet``, if given, is the precomputed ``(symbols, inverse, freqs)``
-    triple exactly as returned by ``np.unique(values, return_inverse=True,
-    return_counts=True)`` — callers that already paid for the alphabet scan
-    (entropy-mode selection) pass it through so the stream is not sorted
-    twice. The emitted bytes are identical either way.
-    """
+def encode(values: np.ndarray) -> bytes:
+    """Huffman-encode an int64 symbol array; self-describing blob."""
     values = np.asarray(values, dtype=np.int64)
-    n = values.shape[0]
-    if n == 0:
+    if values.shape[0] == 0:
         return struct.pack("<Q", 0)
-    if alphabet is None:
-        symbols, inverse, freqs = np.unique(
-            values, return_inverse=True, return_counts=True)
-    else:
-        symbols, inverse, freqs = alphabet
-    code = HuffmanCode.from_frequencies(symbols, freqs)
-    return _frame(code, code.codes[inverse], code.lengths[inverse], n)
+    symbols, inverse, freqs = np.unique(
+        values, return_inverse=True, return_counts=True)
+    return encode_ranks(HuffmanCode.from_frequencies(symbols, freqs), inverse)
+
+
+def encode_ranks(code: HuffmanCode, ranks: np.ndarray) -> bytes:
+    """Encode a non-empty stream given as indices into ``code.symbols``.
+
+    The same blob :func:`encode` frames for the symbols those ranks name;
+    callers that built the code (and its alphabet) themselves skip the
+    alphabet scan and the code construction here.
+    """
+    return _frame(code, code.codes[ranks], code.lengths[ranks],
+                  ranks.shape[0])
 
 
 def encode_with_code(values: np.ndarray, code: HuffmanCode) -> bytes:
@@ -261,6 +263,26 @@ def encode_with_code(values: np.ndarray, code: HuffmanCode) -> bytes:
             not np.array_equal(code.symbols[idx], values):
         raise ValueError("value outside the code's alphabet")
     return _frame(code, code.codes[idx], code.lengths[idx], n)
+
+
+def frame_overhead(k: int) -> int:
+    """Bytes :func:`_frame` adds around the packed bits of a k-symbol code:
+    the element count, the code block (count, int64 symbols, uint8
+    lengths) and the bit count."""
+    return 8 + 4 + 9 * k + 8
+
+
+def encoded_size(freqs: np.ndarray, lengths: np.ndarray) -> int:
+    """Exact length of the blob a non-empty stream encodes to, unpacked.
+
+    ``freqs[i]`` occurrences of symbol ``i`` coded in ``lengths[i]`` bits —
+    equal to ``len(encode(values))`` when ``lengths`` is the code built
+    from those frequencies, so a caller can compare sizes before paying
+    for the gather and :func:`pack_codes`.
+    """
+    bits = int(np.dot(np.asarray(freqs, dtype=np.int64),
+                      np.asarray(lengths, dtype=np.int64)))
+    return frame_overhead(len(lengths)) + (bits + 7) // 8
 
 
 def _frame(code: HuffmanCode, codes: np.ndarray, lengths: np.ndarray,

@@ -85,11 +85,11 @@ def dequantize(codes: np.ndarray, abs_bound: float) -> np.ndarray:
 
 def zigzag(values: np.ndarray) -> np.ndarray:
     """Map signed int64 to unsigned (0,-1,1,-2,.. -> 0,1,2,3,..)."""
-    v = values.astype(np.int64)
+    v = values.astype(np.int64, copy=False)
     return ((v << 1) ^ (v >> 63)).view(np.uint64)
 
 
 def unzigzag(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag`."""
-    u = values.astype(np.uint64)
+    u = values.astype(np.uint64, copy=False)
     return ((u >> np.uint64(1)).astype(np.int64)) ^ -((u & np.uint64(1)).astype(np.int64))

@@ -61,22 +61,22 @@ _ENTROPY_HUFFMAN = 1
 _HUFFMAN_MAX_ALPHABET = 1 << 16
 _HUFFMAN_MAX_ELEMENTS = 1 << 21
 
-#: strided pre-probe size for entropy-mode selection: if a sample this large
-#: already shows more distinct symbols than the alphabet cap, the full
-#: (sorting) ``np.unique`` scan is skipped entirely.
+#: strided pre-probe size for entropy-mode selection on 32/64-bit streams:
+#: if a sample this large already shows more distinct symbols than the
+#: alphabet cap, the full (sorting) ``np.unique`` scan is skipped entirely.
 _ALPHABET_PROBE_SAMPLES = 1 << 12
 
 
-def _minimal_uint(zz: np.ndarray) -> Tuple[np.ndarray, int]:
+def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     """Downcast zigzag codes to the narrowest dtype that holds the max."""
     mx = int(zz.max()) if zz.size else 0
     if mx < 1 << 8:
-        return zz.astype(np.uint8), 1
+        return zz.astype(np.uint8)
     if mx < 1 << 16:
-        return zz.astype(np.uint16), 2
+        return zz.astype(np.uint16)
     if mx < 1 << 32:
-        return zz.astype(np.uint32), 4
-    return zz.astype(np.uint64), 8
+        return zz.astype(np.uint32)
+    return zz.astype(np.uint64)
 
 
 class SZLikeCompressor(Compressor):
@@ -97,8 +97,8 @@ class SZLikeCompressor(Compressor):
             error_bound: per-component bound (absolute, or relative to the
                 chunk's max component magnitude in ``rel`` mode).
             mode: ``"abs"`` or ``"rel"``.
-            entropy: ``"zlib"``, ``"huffman"``, or ``"auto"`` (huffman for
-                small chunks/alphabets, zlib otherwise).
+            entropy: ``"zlib"``, ``"huffman"``, or ``"auto"`` (whichever
+                payload is smaller, Huffman on ties).
             zlib_level: zlib level for the entropy/backstop stage.
         """
         if mode not in ("abs", "rel"):
@@ -180,39 +180,15 @@ class SZLikeCompressor(Compressor):
     def _entropy_encode(self, zz: np.ndarray) -> Tuple[bytes, int]:
         if self._entropy == "huffman":
             return huffman.encode(zz.astype(np.int64)), _ENTROPY_HUFFMAN
-        zpay = self._zlib_payload(zz)
-        if self._entropy == "auto" and zz.size and \
-                zz.size <= _HUFFMAN_MAX_ELEMENTS:
-            # Three-tier probe on the zigzag stream, cheapest test first.
-            # Tier 1: distinct symbols in a strided sample only ever
-            # undercount the full alphabet, so a sample already past the
-            # cap rejects without the full sorting scan. Tier 2: the full
-            # np.unique; degenerate single-symbol streams stay with zlib
-            # (its RLE beats a 1-bit-per-symbol Huffman floor). Tier 3: the
-            # zeroth-order entropy bound predicts the Huffman payload
-            # (n*H/8 data + 9 bytes/symbol table) — only when it is in
-            # striking distance of the zlib payload is the encoder actually
-            # run, and the exact smaller payload wins, so `auto` is never
-            # worse than zlib. The unique triple is handed to the encoder
-            # so the stream is not sorted twice.
-            zz64 = zz.astype(np.int64)
-            stride = max(1, zz64.size // _ALPHABET_PROBE_SAMPLES)
-            if np.unique(zz64[::stride]).size <= _HUFFMAN_MAX_ALPHABET:
-                symbols, inverse, freqs = np.unique(
-                    zz64, return_inverse=True, return_counts=True)
-                if 2 <= symbols.size <= _HUFFMAN_MAX_ALPHABET:
-                    p = freqs / zz64.size
-                    h_bits = float(-(p * np.log2(p)).sum())
-                    est = zz64.size * h_bits / 8 + 9 * symbols.size + 16
-                    if est <= len(zpay) * 1.05:
-                        hpay = huffman.encode(
-                            zz64, alphabet=(symbols, inverse, freqs))
-                        if len(hpay) <= len(zpay):
-                            return hpay, _ENTROPY_HUFFMAN
+        narrow = _minimal_uint(zz)
+        zpay = self._zlib_payload(narrow)
+        if self._entropy == "auto" and 0 < zz.size <= _HUFFMAN_MAX_ELEMENTS:
+            hpay = _huffman_within(narrow, len(zpay))
+            if hpay is not None:
+                return hpay, _ENTROPY_HUFFMAN
         return zpay, _ENTROPY_ZLIB
 
-    def _zlib_payload(self, zz: np.ndarray) -> bytes:
-        narrow, _width = _minimal_uint(zz)
+    def _zlib_payload(self, narrow: np.ndarray) -> bytes:
         width_tag = struct.pack("<B", narrow.dtype.itemsize)
         return width_tag + zlib.compress(narrow.tobytes(), self._level)
 
@@ -252,6 +228,58 @@ class SZLikeCompressor(Compressor):
         dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[width]
         raw = zlib.decompress(payload[1:])
         return np.frombuffer(raw, dtype=dtype, count=count).astype(np.uint64)
+
+
+def _huffman_within(narrow: np.ndarray, budget: int) -> Optional[bytes]:
+    """The Huffman payload of a non-empty zigzag stream if it is at most
+    ``budget`` bytes (the zlib payload's length), else ``None``.
+
+    Cheapest step first, and each step only rejects streams whose Huffman
+    payload provably exceeds the budget, so the choice and every byte equal
+    encoding both and keeping Huffman iff it is no longer:
+
+    1. the alphabet — counted with ``np.bincount`` for 8/16-bit codes
+       (``flatnonzero`` yields the same sorted symbols and counts as
+       ``np.unique``); wider codes keep the strided probe against the
+       alphabet cap before the sorting ``np.unique``. Single-symbol streams
+       stay with zlib, whose run-length coding beats Huffman's 1 bit/symbol;
+    2. a lower bound: every code length is at least ``max(H, 1)`` bits on
+       average (zeroth-order entropy H, and no codeword is shorter than a
+       bit), so the framed size is at least
+       ``frame_overhead(k) + n * max(H, 1) / 8``;
+    3. the exact framed size from the built code's lengths
+       (``huffman.encoded_size``) — the gather and the bit packing run only
+       for a stream that has already won.
+    """
+    n = narrow.size
+    counts = None
+    if narrow.dtype.itemsize <= 2:
+        counts = np.bincount(narrow)
+        symbols = np.flatnonzero(counts)
+        freqs = counts[symbols]
+    else:
+        stride = max(1, n // _ALPHABET_PROBE_SAMPLES)
+        if np.unique(narrow[::stride]).size > _HUFFMAN_MAX_ALPHABET:
+            return None
+        symbols, ranks, freqs = np.unique(
+            narrow, return_inverse=True, return_counts=True)
+    k = symbols.size
+    if not 2 <= k <= _HUFFMAN_MAX_ALPHABET:
+        return None
+    p = freqs / n
+    h_bits = max(float(-(p * np.log2(p)).sum()), 1.0)
+    # The 1e-6-byte slack absorbs float rounding in H: the bound can only
+    # be tight for dyadic frequencies, where H (hence the bound) is exact.
+    if huffman.frame_overhead(k) + n * h_bits / 8 > budget + 1e-6:
+        return None
+    code = huffman.HuffmanCode.from_frequencies(symbols, freqs)
+    if huffman.encoded_size(freqs, code.lengths) > budget:
+        return None
+    if counts is not None:
+        rank = np.empty(counts.size, dtype=np.intp)
+        rank[symbols] = np.arange(k)
+        ranks = rank[narrow]
+    return huffman.encode_ranks(code, ranks)
 
 
 def blob_entropy(blob: bytes) -> Optional[str]:

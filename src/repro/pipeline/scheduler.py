@@ -224,6 +224,9 @@ class StageScheduler:
         #: for the traffic ledger and the access recorder (store-level
         #: hops don't know which stage drives them; this does)
         self._audit_si = -1
+        #: (stage, placement, per-op fixed-bit shifts, remapped-op cache)
+        #: of the stage being executed — see :meth:`_ops_for_group`
+        self._remap_memo: Optional[tuple] = None
         self.stats = SchedulerStats()
 
     def _executor_for(self, gi: int):
@@ -355,15 +358,33 @@ class StageScheduler:
         relabels qubits to virtual positions and restricts diagonals by the
         group's fixed chunk-id bits — that restriction differs per group,
         which is why it cannot be folded into the stage-level compile.
+        A remapped op depends only on the op and on the chunk-id bits of
+        its own out-of-group global qubits, so each (op, bits) pair is
+        remapped once per stage and shared by every group with those bits.
         """
+        memo = self._remap_memo
+        if memo is None or memo[0] is not stage or memo[1] is not placement:
+            in_group = set(placement.group_qubits)
+            shifts = [
+                tuple(q - self.layout.chunk_qubits for q in op.qubits
+                      if not self.layout.is_local(q) and q not in in_group)
+                for op in stage.ops
+            ]
+            memo = self._remap_memo = (stage, placement, shifts, {})
+        _, _, shifts, cache = memo
         out: List[GateOp] = []
-        for op in stage.ops:
-            rg = remap_gate_for_group(op.to_gate(), self.layout, placement,
-                                      base_chunk)
-            if rg is None:
+        for i, op in enumerate(stage.ops):
+            key = (i, tuple((base_chunk >> s) & 1 for s in shifts[i]))
+            if key in cache:
+                rop = cache[key]
+            else:
+                rg = remap_gate_for_group(op.to_gate(), self.layout,
+                                          placement, base_chunk)
+                rop = cache[key] = None if rg is None else GateOp(rg)
+            if rop is None:
                 self.stats.gates_skipped_identity += 1
             else:
-                out.append(GateOp(rg))
+                out.append(rop)
         return out
 
     def _load_group(self, gi: int, members: Tuple[int, ...], buf: np.ndarray) -> None:

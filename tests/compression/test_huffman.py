@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compression.huffman import HuffmanCode, decode, encode
+from repro.compression.huffman import (
+    HuffmanCode,
+    decode,
+    encode,
+    encoded_size,
+)
 
 
 class TestHuffmanCode:
@@ -88,3 +95,15 @@ class TestEncodeDecode:
         blob = encode(vals)
         with pytest.raises(ValueError):
             decode(blob[:-5])
+
+
+class TestEncodedSize:
+    @settings(max_examples=60, deadline=None)
+    @given(freqs=st.lists(st.integers(1, 5000), min_size=1, max_size=300),
+           offset=st.integers(-(1 << 40), 1 << 40))
+    def test_matches_encoded_length(self, freqs, offset):
+        symbols = offset + 3 * np.arange(len(freqs), dtype=np.int64)
+        values = np.repeat(symbols, freqs)
+        np.random.default_rng(len(freqs)).shuffle(values)
+        code = HuffmanCode.from_frequencies(symbols, np.array(freqs))
+        assert encoded_size(freqs, code.lengths) == len(encode(values))

@@ -1,9 +1,11 @@
 """Unit tests for the SZ-like error-bounded compressor."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.compression import SZLikeCompressor, get_compressor
+from repro.compression import SZLikeCompressor, get_compressor, huffman
 from repro.compression.szlike import blob_entropy
 from repro.compression.metrics import max_component_error
 
@@ -149,6 +151,106 @@ class TestAutoEntropySelection:
         x = (rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14))
         blob = SZLikeCompressor(error_bound=1e-9, entropy="auto").compress(x)
         assert blob_entropy(blob) in ("zlib", "raw")
+
+
+def entropy_streams():
+    """Seeded zigzag streams, one per branch of the `auto` arbitration."""
+    rng = np.random.default_rng(20261017)
+    n = 1 << 15
+    sparse = np.zeros(n, dtype=np.uint64)
+    hit = rng.choice(n, n // 64, replace=False)
+    sparse[hit] = rng.integers(1, 6, hit.size)
+    skewed = np.where(rng.random(n) < 0.9, 0,
+                      rng.integers(1, 4, n)).astype(np.uint64)
+    wide16 = np.minimum(rng.geometric(0.002, n), 60000).astype(np.uint64)
+    geo16 = rng.geometric(0.02, n).astype(np.uint64)
+    w32 = rng.geometric(0.05, n).astype(np.uint64)
+    w32[rng.choice(n, 16, replace=False)] = rng.integers(1 << 20, 1 << 30, 16)
+    dyadic = rng.permutation(np.repeat(np.arange(3, dtype=np.uint64),
+                                       [n // 2, n // 4, n // 4]))
+    runs = np.random.default_rng(0)
+    near_tie = np.repeat(runs.integers(0, 3, n),
+                         runs.geometric(0.24, n))[:n].astype(np.uint64)
+    return {
+        "qft_sparse": sparse,
+        "skewed_h_lt_1": skewed,
+        "uint16_wide_alphabet": wide16,
+        "uint16_huffman": geo16,
+        "uint32_width": w32,
+        "dyadic": dyadic,  # H = 1.5 bits exactly: the lower bound is tight
+        # runs zlib exploits: inside the lower bound, lost on exact size
+        "runs_near_tie": near_tie,
+        "single_symbol": np.full(n, 7, dtype=np.uint64),
+        "past_alphabet_cap": rng.permutation(
+            np.arange(70000, dtype=np.uint64) * 3),
+    }
+
+
+def brute_force_entropy(zz):
+    """Encode both ways; Huffman iff its payload is no longer than zlib's."""
+    zpay, zid = SZLikeCompressor(entropy="zlib")._entropy_encode(zz)
+    if 2 <= np.unique(zz).size <= 1 << 16:
+        hpay, hid = SZLikeCompressor(entropy="huffman")._entropy_encode(zz)
+        if len(hpay) <= len(zpay):
+            return hpay, hid
+    return zpay, zid
+
+
+class TestExactSizeArbitration:
+    """`auto` decides from exact sizes, and every blob stays byte-identical."""
+
+    #: sha256 of the auto payloads (entropy id byte + payload, in stream
+    #: order) and of three whole-chunk blobs, as recorded before the
+    #: arbitration was rewritten.
+    STREAMS_SHA256 = \
+        "a2b17c2a10ed931df269062286f10dbee3772116b954ef30aacae5a574256059"
+    BLOBS_SHA256 = \
+        "4304fd646449a381a464c3f4d5be32a409c624b516789851bccb4b85e63de17c"
+
+    @pytest.mark.parametrize("name", sorted(entropy_streams()))
+    def test_auto_equals_brute_force(self, name):
+        zz = entropy_streams()[name]
+        assert SZLikeCompressor()._entropy_encode(zz) == \
+            brute_force_entropy(zz)
+
+    def test_streams_cover_both_outcomes_on_both_alphabet_paths(self):
+        picked = {name: SZLikeCompressor()._entropy_encode(zz)[1]
+                  for name, zz in entropy_streams().items()}
+        # bincount path (8/16-bit) and np.unique path (32-bit), each won
+        # by Huffman on one stream and by zlib on another
+        assert picked["uint16_huffman"] == picked["uint32_width"] == 1
+        assert picked["uint16_wide_alphabet"] == \
+            picked["past_alphabet_cap"] == 0
+
+    def test_exact_size_rejects_what_the_lower_bound_admits(self):
+        zz = entropy_streams()["runs_near_tie"]
+        zpay, entropy_id = SZLikeCompressor()._entropy_encode(zz)
+        symbols, freqs = np.unique(zz, return_counts=True)
+        p = freqs / zz.size
+        bound = huffman.frame_overhead(symbols.size) \
+            + zz.size * max(float(-(p * np.log2(p)).sum()), 1.0) / 8
+        code = huffman.HuffmanCode.from_frequencies(symbols, freqs)
+        assert bound <= len(zpay) < huffman.encoded_size(freqs, code.lengths)
+        assert entropy_id == 0
+
+    def test_pinned_payloads(self):
+        h = hashlib.sha256()
+        for zz in entropy_streams().values():
+            payload, entropy_id = SZLikeCompressor()._entropy_encode(zz)
+            h.update(bytes([entropy_id]) + payload)
+        assert h.hexdigest() == self.STREAMS_SHA256
+
+    def test_pinned_blobs(self):
+        n = 1 << 14
+        rng = np.random.default_rng(7)
+        t = np.linspace(0, 8 * np.pi, n)
+        smooth = (np.sin(t) + 0.1 * rng.standard_normal(n)) \
+            * np.exp(1j * t / 3) / np.sqrt(n)
+        qft = np.exp(2j * np.pi * 5 * np.arange(n) / n) / np.sqrt(n)
+        h = hashlib.sha256()
+        for x, eb in ((smooth, 1e-4), (smooth, 1e-6), (qft, 1e-6)):
+            h.update(SZLikeCompressor(error_bound=eb).compress(x))
+        assert h.hexdigest() == self.BLOBS_SHA256
 
 
 class TestBlobEntropySniffer:
