@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .interface import (
+    ADAPTIVE_MAGIC as _MAGIC,
     Compressor,
     coerce_amplitudes,
     get_compressor,
@@ -29,7 +30,6 @@ from .interface import (
 
 __all__ = ["AdaptiveCompressor"]
 
-_MAGIC = b"ADP1"
 _TAG_LOSSY = 0
 _TAG_LOSSLESS = 1
 

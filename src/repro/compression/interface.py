@@ -37,6 +37,7 @@ __all__ = [
     "DTYPE_MAGIC",
     "tag_dtype",
     "split_dtype",
+    "inner_frame",
     "coerce_amplitudes",
 ]
 
@@ -44,6 +45,10 @@ __all__ = [
 #: then the codec's own (untouched) frame. complex128 blobs carry no
 #: prefix, keeping the historical format byte-identical.
 DTYPE_MAGIC = b"DTP1"
+
+#: prefix of an adaptive-wrapper blob: ``ADP1`` + one branch byte, then
+#: the chosen codec's blob (see :mod:`repro.compression.adaptive`)
+ADAPTIVE_MAGIC = b"ADP1"
 
 _DTYPE_TAGS: Dict[np.dtype, int] = {np.dtype(np.complex64): 0x01}
 _TAG_TO_DTYPE: Dict[int, np.dtype] = {v: k for k, v in _DTYPE_TAGS.items()}
@@ -85,6 +90,14 @@ def split_dtype(blob: bytes) -> Tuple[np.dtype, bytes]:
             raise ValueError(f"unknown blob dtype tag {blob[4]:#x}") from None
         return dt, blob[5:]
     return np.dtype(np.complex128), blob
+
+
+def inner_frame(blob: bytes) -> bytes:
+    """Look through adaptive-wrapper and dtype prefixes, in any nesting
+    order, to the frame of the codec that encoded the amplitudes."""
+    while blob[:4] in (ADAPTIVE_MAGIC, DTYPE_MAGIC):
+        blob = blob[5:]
+    return blob
 
 
 class Compressor(abc.ABC):

@@ -30,9 +30,9 @@ import numpy as np
 from ..memory.bufferpool import scratch_pool
 from . import huffman
 from .interface import (
-    DTYPE_MAGIC,
     Compressor,
     coerce_amplitudes,
+    inner_frame,
     register_compressor,
     split_dtype,
     tag_dtype,
@@ -47,7 +47,6 @@ from .quantizer import (
 __all__ = ["SZLikeCompressor", "blob_entropy"]
 
 _MAGIC = b"SZL1"
-_ADAPTIVE_MAGIC = b"ADP1"  # repro.compression.adaptive wrapper (inner at [5:])
 _FLAG_QUANT = 0
 _FLAG_RAW = 1
 
@@ -291,8 +290,7 @@ def blob_entropy(blob: bytes) -> Optional[str]:
     looked through, in any nesting order, so the chunk store can attribute
     entropy choices without decompressing anything.
     """
-    while blob[:4] in (_ADAPTIVE_MAGIC, DTYPE_MAGIC):
-        blob = blob[5:]
+    blob = inner_frame(blob)
     if blob[:4] != _MAGIC or len(blob) < 6:
         return None
     flag, entropy_id = blob[4], blob[5]

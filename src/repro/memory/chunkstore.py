@@ -303,11 +303,15 @@ class CompressedChunkStore:
         """Count which entropy stage the codec picked, sniffed per blob.
 
         Works on the header alone, so worker-pool blobs (which arrive as
-        bytes via :meth:`put_blob`) are attributed parent-side too. Non-SZL1
-        codecs contribute nothing.
+        bytes via :meth:`put_blob`) are attributed parent-side too. SZL1
+        blobs count their entropy stage, zlib blobs their layout
+        (``zlib`` for whole-chunk ``LSL1``, ``planes`` for ``LSP1``);
+        other codecs contribute nothing.
         """
-        from ..compression.szlike import blob_entropy  # lazy: avoids import cycle
-        choice = blob_entropy(blob)
+        # lazy: avoids import cycle
+        from ..compression.lossless import blob_layout
+        from ..compression.szlike import blob_entropy
+        choice = blob_entropy(blob) or blob_layout(blob)
         if choice is not None:
             tel.metrics.counter(f"codec.entropy_choice.{choice}").inc()
             tel.emit("codec.choice", entropy=choice, nbytes=len(blob))

@@ -58,11 +58,6 @@ def max_group_qubits_for(layout: ChunkLayout, device: DeviceSpec,
     return t
 
 
-# Backwards-compatible alias: the canonical predicate now lives with the
-# gate definitions so the compile layer can share it without import cycles.
-_gate_is_diagonal = gate_is_diagonal
-
-
 def _permutation_of(g: Gate, layout: ChunkLayout) -> Optional[Tuple[int, ...]]:
     """If ``g`` is a pure chunk-id permutation, return it (dst -> src)."""
     c = layout.chunk_qubits
@@ -148,7 +143,7 @@ def plan_stages(
             else:
                 stages.append(PermutationStage(perm, [g]))
             return
-        if _gate_is_diagonal(g):
+        if gate_is_diagonal(g):
             # Never forces grouping; joins whatever stage is open.
             if current is None:
                 current = GateStage(group_qubits=())

@@ -94,9 +94,16 @@ class TestGoldenHeaders:
         assert inner == blob[5:]
 
     def test_zlib_magics_pinned(self):
+        # zlib picks its layout per chunk: whole-chunk LSL1 for a sparse
+        # chunk, byte-plane LSP1 for a dense one.
         comp = make("zlib")
-        assert comp.compress(rand_state())[:4] == b"LSL1"
-        assert comp.compress(rand_state(dtype=np.complex64))[5:9] == b"LSL1"
+        sparse = np.zeros(1 << 12, dtype=np.complex128)
+        sparse[::64] = 0.5
+        dense = rand_state(n=1 << 12)
+        assert comp.compress(sparse)[:4] == b"LSL1"
+        assert comp.compress(sparse.astype(np.complex64))[5:9] == b"LSL1"
+        assert comp.compress(dense)[:4] == b"LSP1"
+        assert comp.compress(dense.astype(np.complex64))[5:9] == b"LSP1"
 
     def test_adaptive_inner_tagging(self):
         # ADP1 wrapper first; the winning inner codec carries the tag.

@@ -253,11 +253,25 @@ class TestEntropyChoiceCounters:
     def test_non_szl1_codec_contributes_nothing(self):
         from repro.telemetry import Telemetry
 
+        for name in ("lzma", "bz2", "null"):
+            tel = Telemetry()
+            lay = ChunkLayout(6, 3)
+            store = CompressedChunkStore(
+                lay, get_compressor(name), MemoryTracker(), telemetry=tel)
+            store.init_zero_state()
+            assert not any(
+                counter.startswith("codec.entropy_choice.")
+                for counter in tel.metrics.snapshot()["counters"]), name
+
+    def test_zlib_counts_its_layout(self, random_state_fn):
+        from repro.telemetry import Telemetry
+
         tel = Telemetry()
-        lay = ChunkLayout(6, 3)
+        lay = ChunkLayout(14, 12)
         store = CompressedChunkStore(
             lay, get_compressor("zlib"), MemoryTracker(), telemetry=tel)
-        store.init_zero_state()
-        assert not any(
-            name.startswith("codec.entropy_choice.")
-            for name in tel.metrics.snapshot()["counters"])
+        store.init_zero_state()  # sparse chunks: whole-chunk zlib
+        store.init_from_statevector(random_state_fn(14, seed=5))  # dense
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["codec.entropy_choice.zlib"] == 2
+        assert counters["codec.entropy_choice.planes"] == lay.num_chunks

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import get_workload
-from repro.compression.lossless import ZlibCompressor
+from repro.compression.lossless import ZlibCompressor, blob_layout
 from repro.core import MemQSim, MemQSimConfig
 from repro.parallel import run_equivalence
 from repro.telemetry import Telemetry
@@ -36,6 +36,21 @@ class TestCodecEquivalence:
         )
         assert rep.ok, rep.summary()
         assert rep.state_max_abs_diff == 0.0
+
+    def test_zlib_byte_plane_layout(self):
+        # 2^11-amplitude chunks of a dense state take the LSP1 layout,
+        # whose choice must not depend on which process encodes a chunk.
+        rep = run_equivalence(
+            get_workload("vqe", 13), workers=WORKERS,
+            chunk_qubits=11, compressor="zlib",
+        )
+        assert rep.ok, rep.summary()
+        assert rep.state_max_abs_diff == 0.0
+        final = MemQSim(MemQSimConfig(chunk_qubits=11, compressor="zlib")) \
+            .run(get_workload("vqe", 13)).store
+        layouts = {blob_layout(final.get_blob(k))
+                   for k in range(final.layout.num_chunks)}
+        assert "planes" in layouts, layouts
 
     def test_shared_memory_payload_path(self):
         rep = run_equivalence(
