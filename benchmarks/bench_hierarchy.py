@@ -1,24 +1,26 @@
 """Experiment MH1 — plan-driven Belady eviction vs LRU on a streamed run.
 
 Because the compiled plan fixes the chunk access schedule before the run
-starts, the live cache can evict the chunk whose next use is farthest in
-the future — Belady's MIN, normally an offline fantasy. This experiment
-runs the same streamed VQE workload under LRU and under plan-driven
-Belady and checks two things:
+starts, the live cache evicts the chunk whose next use is farthest in the
+future — Belady's MIN, normally an offline fantasy. This experiment runs
+a streamed VQE workload once, records its access trace, and checks two
+things:
 
-* **exactness** — the live Belady cache takes *exactly* the number of
-  read misses the offline replay (``repro memtrace``) computes as the
+* **exactness** — the live cache takes *exactly* the number of read
+  misses the offline replay (``repro memtrace``) computes as the
   clairvoyant bound from the recorded trace. Not approximately: the
   eviction decisions are driven by the same schedule the replay sees, so
   any drift is a bug in the cursor resync logic.
 * **benefit** — Belady takes fewer misses than LRU at the same capacity;
-  the gated metric is the relative miss reduction.
+  the gated metric is the relative miss reduction. LRU is not a live
+  policy: its misses come from replaying the same trace
+  (:func:`~repro.analysis.memtrace.simulate_cache`), so it has no wall
+  time of its own.
 
-Runs are serial by design: the parallel engine works on compressed blobs
-directly and never consults the decompressed chunk cache, so a
-cache-policy experiment only makes sense on the serial path. Miss counts
-are fully deterministic (plan-driven schedule, seeded workload), so one
-run per arm suffices; wall time is reported but not the point.
+The run is serial by design: the parallel engine works on compressed
+blobs directly and never consults the decompressed chunk cache. Miss
+counts are fully deterministic (plan-driven schedule, seeded workload),
+so one run suffices; wall time is reported but not the point.
 
 Emits the canonical ``results/BENCH_MH1.json`` record. ``REPRO_FULL=1``
 raises the qubit count.
@@ -51,14 +53,13 @@ DEVICE_MB = 0.002
 ARMS = ("lru", "belady")
 
 
-def run_once(arm: str, n: int = N, capacity: int = CAPACITY) -> dict:
+def run_once(n: int = N, capacity: int = CAPACITY) -> dict:
     circ = vqe_ansatz(n, layers=LAYERS)
     tel = Telemetry()
     rec = ChunkAccessRecorder()
     tel.access = rec
     cfg = MemQSimConfig(
-        chunk_qubits=CHUNK, compressor="zlib",
-        cache_chunks=capacity, cache_policy=arm,
+        chunk_qubits=CHUNK, compressor="zlib", cache_chunks=capacity,
         execution="serial",
         device=DeviceSpec(memory_bytes=int(DEVICE_MB * (1 << 20))),
     )
@@ -70,7 +71,6 @@ def run_once(arm: str, n: int = N, capacity: int = CAPACITY) -> dict:
     stats = res.store.cache_stats
     misses, hits = stats.misses, stats.hits
     return {
-        "arm": arm,
         "wall_seconds": wall,
         "misses": misses,
         "hits": hits,
@@ -80,31 +80,27 @@ def run_once(arm: str, n: int = N, capacity: int = CAPACITY) -> dict:
 
 
 def generate_report(n: int = N, capacity: int = CAPACITY) -> dict:
-    runs = {arm: run_once(arm, n, capacity) for arm in ARMS}
-    # The access trace is a property of the plan, not the policy: both
-    # arms must have seen the identical schedule.
-    trace = runs["belady"]["trace"]
-    assert trace == runs["lru"]["trace"], \
-        "cache policy must not perturb the access schedule"
+    run = run_once(n, capacity)
+    trace = run["trace"]
     bound = belady_misses(trace, capacity)
-    lru_replay = simulate_cache(trace, capacity, "lru")[1]
-    live = {arm: runs[arm]["misses"] for arm in ARMS}
-    # The headline exactness contract: live Belady == offline bound.
-    assert live["belady"] == bound, \
-        f"live belady took {live['belady']} misses, bound is {bound}"
-    assert live["lru"] == lru_replay, \
-        f"live lru took {live['lru']} misses, replay says {lru_replay}"
-    reduction = ((live["lru"] - live["belady"]) / live["lru"]
-                 if live["lru"] else 0.0)
+    # The headline exactness contract: live == offline Belady bound.
+    assert run["misses"] == bound, \
+        f"live cache took {run['misses']} misses, bound is {bound}"
+    lru_hits, lru_misses = simulate_cache(trace, capacity, "lru")
+    misses = {"lru": lru_misses, "belady": run["misses"]}
+    hits = {"lru": lru_hits, "belady": run["hits"]}
+    reduction = ((misses["lru"] - misses["belady"]) / misses["lru"]
+                 if misses["lru"] else 0.0)
     return {
         "experiment": "MH1 plan-driven Belady eviction vs LRU",
         "workload": "vqe", "num_qubits": n, "layers": LAYERS,
         "chunk_qubits": CHUNK, "capacity": capacity,
         "device_mb": DEVICE_MB,
         "accesses": len(trace),
-        "runs": {arm: {k: v for k, v in r.items() if k != "trace"}
-                 for arm, r in runs.items()},
-        "live_misses": live,
+        "wall_seconds": run["wall_seconds"],
+        "norm": run["norm"],
+        "misses": misses,
+        "hits": hits,
         "belady_bound": bound,
         "miss_reduction": reduction,
     }
@@ -112,32 +108,30 @@ def generate_report(n: int = N, capacity: int = CAPACITY) -> dict:
 
 def render_table(report: dict) -> Table:
     t = Table(
-        ["policy", "live misses", "replay bound", "hits", "wall"],
+        ["policy", "misses", "source", "hits", "wall"],
         title=(f"MH1: eviction policy at C={report['capacity']}, "
                f"{report['workload']} n={report['num_qubits']} "
                f"chunk={report['chunk_qubits']} "
                f"({report['accesses']} accesses)"),
     )
     for arm in ARMS:
-        r = report["runs"][arm]
-        t.add(arm, str(r["misses"]),
-              str(report["belady_bound"]) if arm == "belady" else "-",
-              str(r["hits"]), format_seconds(r["wall_seconds"]))
+        live = arm == "belady"
+        t.add(arm, str(report["misses"][arm]),
+              "live" if live else "trace replay", str(report["hits"][arm]),
+              format_seconds(report["wall_seconds"]) if live else "-")
     return t
 
 
 # -- pytest-benchmark targets ---------------------------------------------------
 
-@pytest.mark.parametrize("arm", list(ARMS))
-def test_hierarchy_wall_clock(benchmark, arm):
-    res = benchmark.pedantic(run_once, args=(arm, 9, 8),
-                             rounds=1, iterations=1)
+def test_hierarchy_wall_clock(benchmark):
+    res = benchmark.pedantic(run_once, args=(9, 8), rounds=1, iterations=1)
     assert res["norm"] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_belady_live_equals_bound_small():
     rep = generate_report(n=9, capacity=8)  # asserts exactness internally
-    assert rep["live_misses"]["belady"] <= rep["live_misses"]["lru"]
+    assert rep["misses"]["belady"] <= rep["misses"]["lru"]
 
 
 if __name__ == "__main__":
@@ -149,8 +143,8 @@ if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     report = generate_report(args.qubits, args.capacity)
     print(render_table(report).render())
-    print(f"\nlive belady == offline bound: "
-          f"{report['live_misses']['belady']} == {report['belady_bound']}")
+    print(f"\nlive cache == offline Belady bound: "
+          f"{report['misses']['belady']} == {report['belady_bound']}")
     print(f"miss reduction vs LRU at C={report['capacity']}: "
           f"{report['miss_reduction'] * 100:.1f}%")
     emit_result("MH1", title=__doc__.splitlines()[0],
@@ -160,16 +154,13 @@ if __name__ == "__main__":
                         "capacity": report["capacity"],
                         "device_mb": DEVICE_MB},
                 metrics={
-                    "wall_seconds_lru": seconds(
-                        report["runs"]["lru"]["wall_seconds"]),
-                    "wall_seconds_belady": seconds(
-                        report["runs"]["belady"]["wall_seconds"]),
+                    "wall_seconds_belady": seconds(report["wall_seconds"]),
                     # deterministic counters — tight tolerances are safe
                     "lru_misses": {
-                        "values": [report["live_misses"]["lru"]],
+                        "values": [report["misses"]["lru"]],
                         "direction": "lower", "tolerance": 0.01},
                     "belady_misses": {
-                        "values": [report["live_misses"]["belady"]],
+                        "values": [report["misses"]["belady"]],
                         "direction": "lower", "tolerance": 0.01},
                     # the headline: how much the plan buys over recency
                     "miss_reduction": {
@@ -177,7 +168,8 @@ if __name__ == "__main__":
                         "direction": "higher", "tolerance": 0.02},
                 },
                 tables=[render_table(report)],
-                extra={"runs": report["runs"],
-                       "live_misses": report["live_misses"],
+                extra={"misses": report["misses"],
+                       "hits": report["hits"],
+                       "norm": report["norm"],
                        "belady_bound": report["belady_bound"],
                        "accesses": report["accesses"]})

@@ -17,15 +17,15 @@ recency; barriers empty the cache.
 * :func:`hit_rate_curve` — the stack-distance what-if: read hit rate as a
   function of cache capacity, for *every* capacity, from one pass over
   the trace (the inclusion property makes the curve exact, not sampled).
-* :func:`simulate_cache` — direct simulation of any live eviction policy
-  (``lru`` | ``mru`` | ``belady``), miss-for-miss identical to the
-  corresponding ``ChunkCache`` configuration; :func:`simulate_lru` is the
-  LRU shorthand (cross-check + the capacity actually configured).
+* :func:`simulate_cache` — what-if replay of an eviction policy
+  (``lru`` | ``mru`` | ``belady``) over the trace; :func:`simulate_lru`
+  is the LRU shorthand. LRU and MRU exist only here: the live cache
+  always evicts by the plan.
 * :func:`belady_misses` — the Belady/MIN optimal miss count: evict the
   resident chunk whose next use is farthest in the future. Since the
   :class:`~repro.compile.CompiledPlan` fixes the whole schedule before
-  execution, this bound is *achievable* — it is the quantitative case for
-  the plan-driven eviction item on the roadmap.
+  execution, this bound is *achievable*, and the live ``ChunkCache``
+  (fed the plan's access schedule) takes exactly this many misses.
 * :func:`analyze_trace` — everything above as one report.
 """
 
@@ -138,14 +138,14 @@ def simulate_cache(
     capacity: int,
     policy: str = "lru",
 ) -> Tuple[int, int]:
-    """Direct cache simulation; returns ``(read hits, read misses)``.
+    """What-if cache replay; returns ``(read hits, read misses)``.
 
-    Matches the live ``ChunkCache(policy=...)`` miss-for-miss: reads hit
-    or miss, writes insert/touch without counting, both update recency,
-    barriers flush. ``policy`` is ``"lru"`` (evict least recent),
-    ``"mru"`` (evict most recent — right for cyclic sweeps), or
-    ``"belady"`` (farthest next use over the trace itself — what the live
-    cache achieves when fed the plan's access schedule).
+    Same insertion rules as the live ``ChunkCache``: reads hit or miss,
+    writes insert/touch without counting, both update recency, barriers
+    flush. ``policy`` is ``"lru"`` (evict least recent), ``"mru"`` (evict
+    most recent — right for cyclic sweeps), or ``"belady"`` (farthest
+    next use over the trace itself). Only ``belady`` runs live: the live
+    cache, fed the plan's access schedule, matches it miss-for-miss.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
@@ -251,8 +251,12 @@ class MemTraceReport:
     policy: str = "lru"
     policy_hits: Optional[int] = None
     policy_misses: Optional[int] = None
-    #: live misses under ``policy`` (== measured_lru_misses when "lru")
+    #: live misses under ``policy`` (== measured_lru_misses when "lru",
+    #: == live_misses when "belady")
     measured_misses: Optional[int] = None
+    #: read misses the live cache took; it evicts by the plan, so this
+    #: must equal ``belady_misses``
+    live_misses: Optional[int] = None
 
     @property
     def gap(self) -> int:
@@ -288,6 +292,7 @@ class MemTraceReport:
             "policy_hits": self.policy_hits,
             "policy_misses": self.policy_misses,
             "measured_misses": self.measured_misses,
+            "live_misses": self.live_misses,
             "gap": self.gap,
             "gap_fraction": self.gap_fraction,
         }
@@ -314,6 +319,12 @@ class MemTraceReport:
         lines += [
             f"    Belady-optimal misses    {self.belady_misses:>8}  "
             f"(lower bound)",
+        ]
+        if self.live_misses is not None:
+            lines.append(
+                f"    live cache misses        {self.live_misses:>8}  "
+                f"(evicts by the plan)")
+        lines += [
             f"    gap (LRU - optimal)      {self.gap:>8}  "
             f"({self.gap_fraction:.1%} of LRU misses avoidable)",
             "  hit rate vs. capacity:",
@@ -335,14 +346,17 @@ def analyze_trace(
     measured_lru_misses: Optional[int] = None,
     policy: str = "lru",
     measured_misses: Optional[int] = None,
+    live_misses: Optional[int] = None,
 ) -> MemTraceReport:
     """Run the full analysis suite over one recorded trace.
 
     ``policy`` selects the what-if replay (``lru``/``mru``/``belady``);
     the LRU and Belady baselines are always computed so the report's gap
-    stays meaningful. ``measured_misses`` is the live miss count under
+    stays meaningful. ``measured_misses`` is a miss count measured under
     that policy (``measured_lru_misses`` keeps its historical meaning and
-    is filled from it when the policy is LRU).
+    is filled from it when the policy is LRU). ``live_misses`` is the
+    live cache's count; that cache evicts by the plan, so it is also the
+    measured count when the policy is Belady.
     """
     reads = sum(1 for _s, _c, op in _accesses(trace) if op == "r")
     writes = sum(1 for _s, _c, op in _accesses(trace) if op == "w")
@@ -356,6 +370,8 @@ def analyze_trace(
             measured_misses = measured_lru_misses
         elif measured_lru_misses is None:
             measured_lru_misses = measured_misses
+    elif policy == "belady" and measured_misses is None:
+        measured_misses = live_misses
     return MemTraceReport(
         accesses=reads + writes,
         reads=reads,
@@ -374,4 +390,5 @@ def analyze_trace(
         policy_hits=p_hits,
         policy_misses=p_misses,
         measured_misses=measured_misses,
+        live_misses=live_misses,
     )

@@ -16,7 +16,8 @@ Commands:
   curve, compression table — no external assets, opens from ``file://``).
 * ``memtrace`` — record a run's exact chunk access sequence and analyze
   its reuse: distance histogram, the exact LRU hit-rate-vs-capacity
-  curve, and the Belady-optimal miss bound vs the live LRU cache.
+  curve, an LRU/MRU/Belady what-if replay, and the live cache's misses
+  checked against the Belady-optimal bound.
 * ``audit`` — plan-vs-actual verification: the access schedule predicted
   from the compiled plan must match the recorded one exactly, and the
   measured bytes must fall inside the predicted traffic envelope.
@@ -94,11 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fusion_args(runp)
     _add_precision_arg(runp)
     runp.add_argument("--cache-chunks", type=int, default=0,
-                      help="decompressed-chunk cache capacity (0 = off)")
-    runp.add_argument("--cache-policy", default="mru",
-                      choices=["lru", "mru", "belady"],
-                      help="eviction policy; belady evicts by the compiled "
-                           "plan's farthest next use")
+                      help="decompressed-chunk cache capacity (0 = off); "
+                           "it evicts by the compiled plan's farthest "
+                           "next use")
     runp.add_argument("--store", default="memory",
                       choices=["memory", "disk", "tiered"],
                       help="compressed-blob tier: all-RAM, all-disk, or "
@@ -190,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     mtp = sub.add_parser(
         "memtrace",
         help="record a run's chunk access trace and analyze its reuse: "
-             "distance histogram, hit-rate-vs-capacity curve, and the "
-             "Belady-optimal miss bound vs the live LRU cache")
+             "distance histogram, hit-rate-vs-capacity curve, a what-if "
+             "policy replay, and the live cache vs the Belady-optimal "
+             "bound")
     mtp.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     mtp.add_argument("-n", "--qubits", type=int, default=12)
     mtp.add_argument("--compressor", default="szlike")
@@ -207,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=True)
     mtp.add_argument("--policy", default="lru",
                      choices=["lru", "mru", "belady"],
-                     help="eviction policy to run live and replay offline "
-                          "(the live cache must match miss-for-miss)")
+                     help="eviction policy to replay offline on the "
+                          "trace (the live cache always evicts by the "
+                          "plan and must hit the Belady bound exactly)")
     mtp.add_argument("--trace-in", metavar="FILE",
                      help="analyze a trace recorded earlier with "
                           "`run --mem-trace-out` instead of running")
@@ -487,6 +488,44 @@ def _validate_cache_chunks(value: int, minimum: int = 0) -> int:
     return value
 
 
+#: argparse dest -> MemQSimConfig field, for knobs copied across as is
+_CONFIG_ARGS = (
+    ("chunk_qubits", "chunk_qubits"),
+    ("compressor", "compressor"),
+    ("transfer", "transfer"),
+    ("offload", "cpu_offload_fraction"),
+    ("max_fuse_qubits", "max_fuse_qubits"),
+    ("precision", "precision"),
+    ("store", "store"),
+    ("disk_path", "disk_path"),
+    ("host_store_mb", "host_store_mb"),
+    ("devices", "num_devices"),
+    ("workers", "workers"),
+    ("execution", "execution"),
+    ("serpentine", "serpentine_groups"),
+)
+
+
+def _config_from_args(args, **pinned) -> MemQSimConfig:
+    """The one args -> :class:`MemQSimConfig` builder every command shares.
+
+    Each knob is read from ``args`` when the command's parser defines it
+    and otherwise keeps the config default; ``pinned`` values (the ones a
+    command fixes, such as the audit's serial engine) override both.
+    """
+    kw = {field: getattr(args, dest) for dest, field in _CONFIG_ARGS
+          if hasattr(args, dest)}
+    if args.compressor in ("szlike", "adaptive"):
+        kw["compressor_options"] = {"error_bound": args.error_bound}
+    kw["device"] = DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20)))
+    if hasattr(args, "cache_chunks"):
+        kw["cache_chunks"] = _validate_cache_chunks(args.cache_chunks)
+    kw["fuse_gates"] = _fusion_enabled(args)
+    kw["monitor_interval_ms"] = _monitor_ms(args)
+    kw.update(pinned)
+    return MemQSimConfig(**kw)
+
+
 def _cmd_run(args) -> int:
     circuit = _load_circuit(args)
     tel = _telemetry_from_args(args)
@@ -494,30 +533,7 @@ def _cmd_run(args) -> int:
         from .telemetry import ChunkAccessRecorder
 
         tel.access = ChunkAccessRecorder()
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        transfer=args.transfer,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        cpu_offload_fraction=args.offload,
-        fuse_gates=_fusion_enabled(args),
-        max_fuse_qubits=args.max_fuse_qubits,
-        precision=args.precision,
-        cache_chunks=_validate_cache_chunks(args.cache_chunks),
-        cache_policy=args.cache_policy,
-        store=args.store,
-        disk_path=args.disk_path,
-        host_store_mb=args.host_store_mb,
-        num_devices=args.devices,
-        workers=args.workers,
-        execution=args.execution,
-        serpentine_groups=args.serpentine,
-        monitor_interval_ms=_monitor_ms(args),
-    )
+    cfg = _config_from_args(args)
     if args.autotune:
         from .pipeline import autotune_chunk_qubits
 
@@ -661,25 +677,7 @@ def _cmd_trace(args) -> int:
     if not args.trace_out and not args.jsonl_out:
         args.trace_out = f"{args.workload}.trace.json"
     tel = _telemetry_from_args(args, force=True)
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        transfer=args.transfer,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        cpu_offload_fraction=args.offload,
-        fuse_gates=_fusion_enabled(args),
-        max_fuse_qubits=args.max_fuse_qubits,
-        precision=args.precision,
-        cache_chunks=_validate_cache_chunks(args.cache_chunks),
-        workers=args.workers,
-        execution=args.execution,
-        serpentine_groups=args.serpentine,
-        monitor_interval_ms=_monitor_ms(args),
-    )
+    cfg = _config_from_args(args)
     circuit = get_workload(args.workload, args.qubits)
     res = MemQSim(cfg, telemetry=tel).run(circuit)
     print(res.report())
@@ -702,23 +700,8 @@ def _cmd_report(args) -> int:
     parent = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(parent):
         raise SystemExit(f"error: output directory does not exist: {parent}")
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        transfer=args.transfer,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        cpu_offload_fraction=args.offload,
-        precision=args.precision,
-        cache_chunks=_validate_cache_chunks(args.cache_chunks),
-        workers=args.workers,
-        execution=args.execution,
-        serpentine_groups=args.serpentine,
-        monitor_interval_ms=args.monitor_interval,
-    )
+    # Reports always sample resources, at --monitor-interval.
+    cfg = _config_from_args(args, monitor_interval_ms=args.monitor_interval)
     circuit = get_workload(args.workload, args.qubits)
     from .telemetry import ChunkAccessRecorder
 
@@ -738,7 +721,7 @@ def _cmd_memtrace(args) -> int:
     from .analysis.memtrace import analyze_trace
     from .telemetry import ChunkAccessRecorder
 
-    measured = None
+    live = None
     capacity = _validate_cache_chunks(args.cache_chunks, minimum=1)
     if args.trace_in:
         trace = ChunkAccessRecorder.read_jsonl(args.trace_in)
@@ -748,33 +731,20 @@ def _cmd_memtrace(args) -> int:
         tel = Telemetry()
         rec = ChunkAccessRecorder()
         tel.access = rec
-        opts = {}
-        if args.compressor in ("szlike", "adaptive"):
-            opts["error_bound"] = args.error_bound
-        cfg = MemQSimConfig(
-            chunk_qubits=args.chunk_qubits,
-            compressor=args.compressor,
-            compressor_options=opts,
-            device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-            cache_chunks=capacity,
-            cache_policy=args.policy,  # the policy the analysis replays
-            execution="serial",
-            serpentine_groups=args.serpentine,
-        )
+        # Serial: the parallel engine streams blobs past the chunk cache.
+        cfg = _config_from_args(args, execution="serial")
         res = MemQSim(cfg, telemetry=tel).run(
             get_workload(args.workload, args.qubits))
         trace = rec.trace()
-        stats = getattr(res.store, "cache_stats", None)
-        if stats is not None:
-            measured = stats.misses
+        live = res.store.cache_stats.misses
     report = analyze_trace(trace, capacity, policy=args.policy,
-                           measured_misses=measured)
-    if measured is not None and measured != report.policy_misses:
-        # The offline replay IS the live cache's contract; a divergence
-        # means one of them drifted — fail loudly, never fudge.
+                           live_misses=live)
+    if live is not None and live != report.belady_misses:
+        # The live cache evicts by the plan, so the Belady bound IS its
+        # contract; a divergence means one of them drifted — fail loudly.
         raise SystemExit(
-            f"memtrace: live {args.policy} cache took {measured} misses "
-            f"but the trace replay computed {report.policy_misses}")
+            f"memtrace: the live cache took {live} misses but the Belady "
+            f"bound on its trace is {report.belady_misses}")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -803,24 +773,11 @@ def _cmd_audit(args) -> int:
             self.plan = value
 
     cap = _CapturePlanCache()
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
     # The audit contract: serial engine, no chunk cache, no CPU offload —
     # the deterministic edges are only exact when every group takes the
     # device path and every load reaches the codec.
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        precision=args.precision,
-        cache_chunks=0,
-        cpu_offload_fraction=0.0,
-        execution="serial",
-        serpentine_groups=args.serpentine,
-        host_store_mb=args.host_store_mb,
-    )
+    cfg = _config_from_args(args, execution="serial", cache_chunks=0,
+                            cpu_offload_fraction=0.0)
     res = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
         get_workload(args.workload, args.qubits))
     if cap.plan is None:
@@ -863,17 +820,7 @@ def _cmd_serve(args) -> int:
 
     if args.log_level:
         configure_logging(args.log_level)
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    base = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        workers=args.workers,
-        execution=args.execution,
-    )
+    base = _config_from_args(args)
     manager = ServeManager(base, Telemetry(), max_jobs=args.max_jobs,
                            plan_cache_capacity=args.plan_cache,
                            events_dir=args.events_dir)

@@ -59,11 +59,8 @@ class MemQSimConfig:
             device.
         cache_chunks: if > 0, keep this many decompressed chunks resident
             in a write-back cache (design challenge 3 — data locality);
-            hits skip the codec entirely.
-        cache_policy: eviction policy — ``"mru"`` (right for cyclic
-            sweeps), ``"lru"``, or ``"belady"`` (plan-optimal: evict the
-            chunk whose next use in the compiled schedule is farthest
-            away; falls back to MRU for off-schedule accesses).
+            hits skip the codec entirely. It evicts by the compiled plan
+            (Belady: the chunk whose next use is farthest away).
         serpentine_groups: alternate the group sweep direction per stage
             (boustrophedon) so the chunk cache keeps hitting across stage
             boundaries; free when no cache is configured.
@@ -114,7 +111,6 @@ class MemQSimConfig:
     max_fuse_qubits: int = 3
     num_devices: int = 1
     cache_chunks: int = 0
-    cache_policy: str = "mru"
     serpentine_groups: bool = True
     store: str = "memory"
     disk_path: Optional[str] = None

@@ -314,8 +314,8 @@ class MemQSim:
         from ..memory.hierarchy import MemoryHierarchy
 
         hierarchy = MemoryHierarchy.build(
-            store, cache_chunks=cfg.cache_chunks,
-            cache_policy=cfg.cache_policy, tracker=tracker, telemetry=tel,
+            store, cache_chunks=cfg.cache_chunks, tracker=tracker,
+            telemetry=tel,
         )
         # Belady eviction and plan-aware spilling both consume the same
         # predicted access schedule; the scheduler advances its cursor at
@@ -418,7 +418,6 @@ class MemQSim:
             "cpu_offload_fraction": cfg.cpu_offload_fraction,
             "num_devices": cfg.num_devices,
             "cache_chunks": cfg.cache_chunks,
-            "cache_policy": cfg.cache_policy,
             "serpentine": cfg.serpentine_groups,
             "fuse_gates": cfg.fuse_gates,
             "fusion": cfg.fuse_gates,

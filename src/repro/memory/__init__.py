@@ -2,16 +2,7 @@
 
 from .accounting import MemorySnapshot, MemoryTracker
 from .bufferpool import BufferPool
-from .cache import (
-    CACHE_POLICIES,
-    BeladyPolicy,
-    CacheStats,
-    ChunkCache,
-    EvictionPolicy,
-    LruPolicy,
-    MruPolicy,
-    make_policy,
-)
+from .cache import CacheStats, ChunkCache
 from .chunkstore import CompressedChunkStore, StoreStats
 from .diskstore import BlobLog, DiskChunkStore
 from .hierarchy import (
@@ -46,12 +37,6 @@ __all__ = [
     "BufferPool",
     "ChunkCache",
     "CacheStats",
-    "EvictionPolicy",
-    "LruPolicy",
-    "MruPolicy",
-    "BeladyPolicy",
-    "CACHE_POLICIES",
-    "make_policy",
     "MemoryTracker",
     "MemorySnapshot",
     "save_store",

@@ -9,20 +9,20 @@ number of *decompressed* chunks resident:
 * ``store`` marks the cached copy dirty and skips recompression until the
   chunk is evicted (**write-back**) — consecutive stages touching the same
   chunk pay the codec once, not per stage;
-* eviction policy is pluggable (:class:`EvictionPolicy`): classic ``lru``;
-  ``mru``, the right heuristic for the cyclic full-sweep access pattern
-  chunked simulation generates (LRU evicts exactly the chunk that will be
-  needed next; MRU pins a stable subset); and ``belady``, the *optimal*
-  policy — evict the resident chunk with the farthest next use. Belady is
-  normally a thought experiment, but the
+* eviction is **Belady/MIN**: evict the resident chunk whose next use is
+  farthest in the future. Belady is normally a thought experiment, but the
   :class:`~repro.compile.CompiledPlan` fixes the entire access sequence
   before execution, so here it is achievable: attach an
   :class:`~repro.memory.hierarchy.AccessSchedule` and the cache replays
-  the plan's future exactly. Off-schedule accesses (ad-hoc loads in serve
-  jobs, result queries) fall back to MRU.
+  the plan's future exactly. Off-schedule accesses (no schedule attached,
+  ad-hoc loads in serve jobs, result queries) evict first, most recent
+  first — i.e. exact MRU, which pins a stable subset under the cyclic
+  full sweeps chunked simulation generates.
 
 The cache reports hits/misses/write-backs so the locality experiment (A7)
-can show hit rate and codec-time savings versus capacity and policy.
+can show hit rate and codec-time savings versus capacity. Other policies
+(LRU, MRU) exist only as offline replays of a recorded trace
+(:func:`repro.analysis.memtrace.simulate_cache`).
 """
 
 from __future__ import annotations
@@ -37,16 +37,7 @@ from ..telemetry import NULL_TELEMETRY, get_logger
 from .accounting import MemoryTracker
 from .chunkstore import CompressedChunkStore
 
-__all__ = [
-    "ChunkCache",
-    "CacheStats",
-    "EvictionPolicy",
-    "LruPolicy",
-    "MruPolicy",
-    "BeladyPolicy",
-    "CACHE_POLICIES",
-    "make_policy",
-]
+__all__ = ["ChunkCache", "CacheStats"]
 
 CATEGORY = "chunk_cache"
 
@@ -72,79 +63,72 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-class EvictionPolicy:
-    """Victim selection for :class:`ChunkCache`.
+class ChunkCache:
+    """Bounded write-back cache over a compressed chunk store.
 
-    ``entries`` passed to :meth:`victim` is the cache's ``OrderedDict``
-    (iteration order = recency, oldest first). Hooks are called on every
-    cache event so stateful policies (Belady) can track per-chunk
-    metadata.
+    Exposes the same ``load``/``store``/``permute``/``zero_chunk`` surface
+    as the store (plus :meth:`flush`); any other attribute delegates to the
+    wrapped store, so the cache is a drop-in replacement wherever a store
+    is expected.
+
+    Every access is matched against the attached :attr:`schedule`
+    (``observe``), which yields that access's barrier-bounded next-use
+    position; the entry keeps it until its next access, and the victim is
+    the resident entry used farthest in the future.
     """
 
-    name = "?"
+    def __init__(
+        self,
+        store: CompressedChunkStore,
+        capacity_chunks: int,
+        tracker: Optional[MemoryTracker] = None,
+        telemetry=None,
+    ):
+        if capacity_chunks < 1:
+            raise ValueError("capacity_chunks must be >= 1")
+        self.inner = store
+        self.capacity = int(capacity_chunks)
+        #: the plan's :class:`~repro.memory.hierarchy.AccessSchedule`;
+        #: ``None`` makes every access off-schedule (MRU eviction)
+        self.schedule = None
+        self.dtype = np.dtype(getattr(store, "dtype", np.complex128))
+        self.tracker = tracker if tracker is not None else store.tracker
+        self.telemetry = telemetry if telemetry is not None else \
+            getattr(store, "telemetry", NULL_TELEMETRY)
+        self.cache_stats = CacheStats()
+        # chunk id -> [array, dirty, next use]; insertion order = recency
+        # (last = MRU). Next use is None for an off-schedule access.
+        self._entries: "OrderedDict[int, list]" = OrderedDict()
 
-    def on_access(self, chunk: int, op: str) -> None:
-        """An access (``op`` = ``"r"``/``"w"``) is about to hit the cache."""
+    # -- delegation ---------------------------------------------------------
 
-    def victim(self, entries: "OrderedDict[int, list]") -> int:
-        raise NotImplementedError
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
-    def on_remove(self, chunk: int) -> None:
-        """``chunk`` left the cache (eviction, invalidation, zeroing)."""
+    # -- cache mechanics ------------------------------------------------------
 
-    def on_clear(self) -> None:
-        """The cache was flushed empty."""
+    def _next_use(self, chunk: int, op: str) -> Optional[float]:
+        """Match an access against the schedule (``None`` = off-schedule)."""
+        if self.schedule is None:
+            return None
+        return self.schedule.observe(chunk, op)
 
-    def attach_schedule(self, schedule) -> None:
-        """Attach a plan-exact schedule; default policies ignore it."""
+    def _insert(self, chunk: int, data: np.ndarray, dirty: bool,
+                next_use: Optional[float]) -> None:
+        entry = self._entries.get(chunk)
+        if entry is not None:
+            entry[0][:] = data
+            entry[1] = entry[1] or dirty
+            entry[2] = next_use
+            self._entries.move_to_end(chunk)
+            return
+        while len(self._entries) >= self.capacity:
+            self._evict_one()
+        arr = np.array(data, dtype=self.dtype, copy=True)
+        self._entries[chunk] = [arr, dirty, next_use]
+        self.tracker.alloc(CATEGORY, arr.nbytes)
 
-
-class LruPolicy(EvictionPolicy):
-    name = "lru"
-
-    def victim(self, entries) -> int:
-        return next(iter(entries))
-
-
-class MruPolicy(EvictionPolicy):
-    """Evict the most recently used: pins a stable subset under cyclic
-    sweeps, the paper's default."""
-
-    name = "mru"
-
-    def victim(self, entries) -> int:
-        return next(reversed(entries))
-
-
-class BeladyPolicy(EvictionPolicy):
-    """Plan-driven Belady/MIN: evict the resident chunk whose next use is
-    farthest in the future.
-
-    Next-use positions come from an attached
-    :class:`~repro.memory.hierarchy.AccessSchedule`; every cache access is
-    matched against the schedule cursor (``observe``), which yields the
-    access's barrier-bounded next-use index. Chunks whose accesses fall
-    off-schedule (no schedule attached, ad-hoc loads) carry no next-use
-    and evict first, most-recent first — i.e. the policy degrades to
-    exact MRU, never worse than the previous default.
-    """
-
-    name = "belady"
-
-    def __init__(self, schedule=None):
-        self.schedule = schedule
-        # chunk -> barrier-bounded next-use position; None = off-schedule
-        self._next_use: dict = {}
-
-    def attach_schedule(self, schedule) -> None:
-        self.schedule = schedule
-
-    def on_access(self, chunk: int, op: str) -> None:
-        nu = self.schedule.observe(chunk, op) \
-            if self.schedule is not None else None
-        self._next_use[chunk] = nu
-
-    def victim(self, entries) -> int:
+    def _victim(self) -> int:
         # First maximum in recency order; finite next-use positions are
         # unique (they are schedule indices), so the only ties are at
         # infinity — past the next barrier, where the flush erases any
@@ -153,101 +137,18 @@ class BeladyPolicy(EvictionPolicy):
         victim = None
         victim_nu = -1.0
         unknown = None
-        for chunk in entries:
-            nu = self._next_use.get(chunk)
+        for chunk, (_arr, _dirty, nu) in self._entries.items():
             if nu is None:
                 unknown = chunk
             elif victim is None or nu > victim_nu:
                 victim, victim_nu = chunk, nu
         return unknown if unknown is not None else victim
 
-    def on_remove(self, chunk: int) -> None:
-        self._next_use.pop(chunk, None)
-
-    def on_clear(self) -> None:
-        self._next_use.clear()
-
-
-CACHE_POLICIES = ("lru", "mru", "belady")
-
-
-def make_policy(name: str) -> EvictionPolicy:
-    """Instantiate an eviction policy by name (``lru``/``mru``/``belady``)."""
-    if name == "lru":
-        return LruPolicy()
-    if name == "mru":
-        return MruPolicy()
-    if name == "belady":
-        return BeladyPolicy()
-    raise ValueError(
-        f"policy must be {'|'.join(CACHE_POLICIES)}, got {name!r}")
-
-
-class ChunkCache:
-    """Bounded write-back cache over a compressed chunk store.
-
-    Exposes the same ``load``/``store``/``permute``/``zero_chunk`` surface
-    as the store (plus :meth:`flush`); any other attribute delegates to the
-    wrapped store, so the cache is a drop-in replacement wherever a store
-    is expected.
-    """
-
-    def __init__(
-        self,
-        store: CompressedChunkStore,
-        capacity_chunks: int,
-        policy: str = "mru",
-        tracker: Optional[MemoryTracker] = None,
-        telemetry=None,
-    ):
-        if capacity_chunks < 1:
-            raise ValueError("capacity_chunks must be >= 1")
-        self.inner = store
-        self.capacity = int(capacity_chunks)
-        self.policy = policy
-        self._policy = make_policy(policy)
-        self.dtype = np.dtype(getattr(store, "dtype", np.complex128))
-        self.tracker = tracker if tracker is not None else store.tracker
-        self.telemetry = telemetry if telemetry is not None else \
-            getattr(store, "telemetry", NULL_TELEMETRY)
-        self.cache_stats = CacheStats()
-        # chunk id -> (array, dirty); insertion order = recency (last=MRU).
-        self._entries: "OrderedDict[int, list]" = OrderedDict()
-
-    # -- delegation ---------------------------------------------------------
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def attach_schedule(self, schedule) -> None:
-        """Feed the plan-exact access schedule to the eviction policy."""
-        self._policy.attach_schedule(schedule)
-
-    # -- cache mechanics ------------------------------------------------------
-
-    def _touch(self, chunk: int) -> None:
-        self._entries.move_to_end(chunk)
-
-    def _insert(self, chunk: int, data: np.ndarray, dirty: bool) -> None:
-        if chunk in self._entries:
-            entry = self._entries[chunk]
-            entry[0][:] = data
-            entry[1] = entry[1] or dirty
-            self._touch(chunk)
-            return
-        while len(self._entries) >= self.capacity:
-            self._evict_one()
-        arr = np.array(data, dtype=self.dtype, copy=True)
-        self._entries[chunk] = [arr, dirty]
-        self.tracker.alloc(CATEGORY, arr.nbytes)
-
     def _evict_one(self) -> None:
         if not self._entries:
             return
-        chunk = self._policy.victim(self._entries)
-        entry = self._entries.pop(chunk)
-        self._policy.on_remove(chunk)
-        arr, dirty = entry
+        chunk = self._victim()
+        arr, dirty, _nu = self._entries.pop(chunk)
         if dirty:
             self.inner.store(chunk, arr)
             self.cache_stats.writebacks += 1
@@ -262,7 +163,7 @@ class ChunkCache:
     def flush(self) -> None:
         """Write back every dirty chunk and empty the cache."""
         dirty_n = 0
-        for chunk, (arr, dirty) in list(self._entries.items()):
+        for chunk, (arr, dirty, _nu) in self._entries.items():
             if dirty:
                 self.inner.store(chunk, arr)
                 self.cache_stats.writebacks += 1
@@ -278,7 +179,6 @@ class ChunkCache:
         log.debug("cache flush: %d resident, %d written back",
                   len(self._entries), dirty_n)
         self._entries.clear()
-        self._policy.on_clear()
 
     @property
     def resident_chunks(self) -> int:
@@ -287,16 +187,17 @@ class ChunkCache:
     # -- store surface ------------------------------------------------------------
 
     def load(self, chunk: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        self._policy.on_access(chunk, "r")
+        next_use = self._next_use(chunk, "r")
         entry = self._entries.get(chunk)
         if entry is not None:
             self.cache_stats.hits += 1
             data = entry[0]
+            entry[2] = next_use
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter("cache.hit").inc()
                 # Bytes *served* from the cache: codec traffic avoided.
                 self.telemetry.traffic.record("cache", "hit", data.nbytes)
-            self._touch(chunk)
+            self._entries.move_to_end(chunk)
             if out is not None:
                 out[: data.shape[0]] = data
                 return out
@@ -308,7 +209,7 @@ class ChunkCache:
             self.telemetry.traffic.record(
                 "cache", "miss", self.inner.layout.chunk_nbytes)
         data = self.inner.load(chunk)
-        self._insert(chunk, data, dirty=False)
+        self._insert(chunk, data, dirty=False, next_use=next_use)
         if out is not None:
             out[: data.shape[0]] = data
             return out
@@ -317,10 +218,10 @@ class ChunkCache:
     def store(self, chunk: int, data: np.ndarray) -> None:
         if data.shape[0] != self.inner.layout.chunk_size:
             raise ValueError("buffer size mismatch")
-        self._policy.on_access(chunk, "w")
+        next_use = self._next_use(chunk, "w")
         if chunk in self._entries:
             self.cache_stats.write_hits += 1
-        self._insert(chunk, data, dirty=True)
+        self._insert(chunk, data, dirty=True, next_use=next_use)
 
     def load_batch(self, chunks, out: Optional[np.ndarray] = None) -> np.ndarray:
         # Through the cache entry-by-entry so dirty copies stay coherent.
@@ -342,7 +243,6 @@ class ChunkCache:
         entry = self._entries.pop(chunk, None)
         if entry is not None:
             self.tracker.free(CATEGORY, entry[0].nbytes)
-            self._policy.on_remove(chunk)
         self.inner.zero_chunk(chunk)
 
     # -- blob-level surface (parallel codec path) ----------------------------
@@ -363,7 +263,6 @@ class ChunkCache:
         entry = self._entries.pop(chunk, None)
         if entry is not None:
             self.tracker.free(CATEGORY, entry[0].nbytes)
-            self._policy.on_remove(chunk)
         self.inner.put_blob(chunk, blob, **kwargs)
 
     def permute(self, perm) -> None:
@@ -387,6 +286,6 @@ class ChunkCache:
     def __repr__(self) -> str:
         s = self.cache_stats
         return (
-            f"<ChunkCache {self.policy} {self.resident_chunks}/{self.capacity} "
+            f"<ChunkCache {self.resident_chunks}/{self.capacity} "
             f"hit_rate={s.hit_rate:.2f} writebacks={s.writebacks}>"
         )

@@ -8,7 +8,7 @@ be computed exactly. Three pieces wire that through:
 
 * :class:`AccessSchedule` — the plan's access sequence with a shared
   replay cursor. The scheduler re-seeks the cursor at every group pass;
-  the Belady cache policy matches accesses against it; the tiered store
+  the Belady chunk cache matches accesses against it; the tiered store
   asks it which resident blob is needed farthest in the future.
 * :class:`TieredChunkStore` — the third tier. Hot compressed blobs stay
   in RAM under a byte budget; the plan-coldest blobs spill to an
@@ -59,7 +59,7 @@ class AccessSchedule:
     * the scheduler calls :meth:`begin_pass` per group pass and
       :meth:`barrier` at permutation stages, keeping the cursor honest
       even when some accesses bypass the schedule-aware layers;
-    * :class:`~repro.memory.cache.BeladyPolicy` calls :meth:`observe` per
+    * :class:`~repro.memory.cache.ChunkCache` calls :meth:`observe` per
       cache access to learn that access's next-use position;
     * :class:`TieredChunkStore` calls :meth:`next_use_of` to find the
       plan-coldest resident blob when it must spill.
@@ -489,13 +489,12 @@ class MemoryHierarchy:
         store: CompressedChunkStore,
         *,
         cache_chunks: int = 0,
-        cache_policy: str = "mru",
         tracker: Optional[MemoryTracker] = None,
         telemetry=None,
     ) -> "MemoryHierarchy":
         cache = None
         if cache_chunks:
-            cache = ChunkCache(store, cache_chunks, cache_policy, tracker,
+            cache = ChunkCache(store, cache_chunks, tracker,
                                telemetry=telemetry)
         return cls(store, cache)
 
@@ -505,7 +504,7 @@ class MemoryHierarchy:
         return self.cache if self.cache is not None else self.store
 
     def needs_schedule(self) -> bool:
-        return ((self.cache is not None and self.cache.policy == "belady")
+        return (self.cache is not None
                 or isinstance(self.store, TieredChunkStore))
 
     def attach_plan(self, stages, layout: ChunkLayout,
@@ -514,15 +513,16 @@ class MemoryHierarchy:
 
         Returns the shared :class:`AccessSchedule` (which the scheduler
         must advance via ``begin_pass``/``barrier``), or ``None`` when no
-        layer is schedule-aware — an unattached Belady cache falls back
-        to MRU and a tiered store to LRU spilling, so ad-hoc runs without
-        a plan (serve ad-hoc loads, direct store use) stay correct.
+        layer is schedule-aware — an unattached cache falls back to MRU
+        eviction and a tiered store to LRU spilling, so ad-hoc runs
+        without a plan (serve ad-hoc loads, direct store use) stay
+        correct.
         """
         if not self.needs_schedule():
             return None
         self.schedule = AccessSchedule.from_stages(stages, layout, serpentine)
         if self.cache is not None:
-            self.cache.attach_schedule(self.schedule)
+            self.cache.schedule = self.schedule
         if isinstance(self.store, TieredChunkStore):
             self.store.schedule = self.schedule
         return self.schedule
@@ -537,7 +537,6 @@ class MemoryHierarchy:
         if self.cache is not None:
             tiers.append({
                 "tier": "decompressed_cache",
-                "policy": self.cache.policy,
                 "capacity_chunks": self.cache.capacity,
             })
         if isinstance(self.store, TieredChunkStore):

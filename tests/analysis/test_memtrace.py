@@ -168,15 +168,14 @@ class TestAnalyzeTrace:
 
 
 class TestAgainstLiveCache:
-    def test_simulated_lru_matches_live_cache(self):
-        """The offline LRU replay must equal the live cache's miss count."""
+    def test_live_cache_hits_the_belady_bound(self):
+        """The live cache evicts by the plan: its misses are the bound."""
         tel = Telemetry()
         tel.access = ChunkAccessRecorder()
         cfg = MemQSimConfig(
             chunk_qubits=3,
             compressor="zlib",
             cache_chunks=4,
-            cache_policy="lru",
             execution="serial",
             device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
         )
@@ -185,10 +184,10 @@ class TestAgainstLiveCache:
         assert stats is not None
         trace = tel.access.trace()
         assert len(trace) > 0
-        hits, misses = simulate_lru(trace, 4)
-        assert misses == stats.misses
+        hits, misses = simulate_cache(trace, 4, "belady")
+        assert misses == belady_misses(trace, 4) == stats.misses
         assert hits == stats.hits
-        assert belady_misses(trace, 4) <= misses
+        assert misses <= simulate_lru(trace, 4)[1]
 
 
 class TestSimulateCache:
@@ -252,3 +251,14 @@ class TestAnalyzePolicy:
         trace = ([R(k) for k in range(4)] * 3)
         rep = analyze_trace(trace, 2, policy="mru", measured_misses=None)
         assert "MRU" in rep.render()
+
+    def test_live_misses_are_the_belady_measurement(self):
+        trace = ([R(k) for k in range(4)] * 3)
+        live = belady_misses(trace, 2)
+        lru = analyze_trace(trace, 2, live_misses=live)
+        assert lru.live_misses == live
+        assert lru.measured_misses is None  # nothing ran LRU live
+        rep = analyze_trace(trace, 2, policy="belady", live_misses=live)
+        assert rep.measured_misses == rep.policy_misses == live
+        assert rep.to_dict()["live_misses"] == live
+        assert "live cache misses" in rep.render()

@@ -172,8 +172,7 @@ class TestDiskPlusCache:
         try:
             v = rand_state(8, 11)
             disk.init_from_statevector(v)
-            cache = ChunkCache(disk, capacity_chunks=4, policy="mru",
-                               tracker=tracker)
+            cache = ChunkCache(disk, capacity_chunks=4, tracker=tracker)
             # writes are deferred, reads hit, flush lands on disk
             data = cache.load(0)
             data *= -1.0
@@ -241,7 +240,7 @@ class TestCompactPermuteFlushInterplay:
 
         v = rand_state(8, 22)
         store.init_from_statevector(v)
-        cache = ChunkCache(store, capacity_chunks=4, policy="lru")
+        cache = ChunkCache(store, capacity_chunks=4)
         for k in range(store.layout.num_chunks):
             cache.store(k, -cache.load(k))
         cache.flush()  # every store above rewrote a record -> garbage
@@ -254,7 +253,7 @@ class TestCompactPermuteFlushInterplay:
 
         v = rand_state(8, 23)
         store.init_from_statevector(v)
-        cache = ChunkCache(store, capacity_chunks=4, policy="mru")
+        cache = ChunkCache(store, capacity_chunks=4)
         cache.store(0, np.zeros(8, dtype=np.complex128))
         nc = store.layout.num_chunks
         perm = [k ^ 1 for k in range(nc)]
@@ -273,7 +272,7 @@ class TestCompactPermuteFlushInterplay:
 
         v = rand_state(8, 24)
         store.init_from_statevector(v)
-        cache = ChunkCache(store, capacity_chunks=4, policy="lru")
+        cache = ChunkCache(store, capacity_chunks=4)
         nc = store.layout.num_chunks
         for cycle in range(4):
             for k in range(nc):

@@ -266,8 +266,7 @@ class TestMemoryHierarchy:
         lay = ChunkLayout(6, 3)
         store = CompressedChunkStore(lay, get_compressor("zlib"),
                                     MemoryTracker())
-        h = MemoryHierarchy.build(store, cache_chunks=2,
-                                  cache_policy="belady")
+        h = MemoryHierarchy.build(store, cache_chunks=2)
         assert isinstance(h.store_like, ChunkCache)
         assert h.needs_schedule()
 
@@ -295,12 +294,12 @@ class TestLiveEqualsReplay:
         from repro.device import DeviceSpec
         from repro.telemetry import ChunkAccessRecorder, Telemetry
 
-        def run(policy, cap=8):
+        def run(cap=8):
             tel = Telemetry()
             rec = ChunkAccessRecorder()
             tel.access = rec
             cfg = MemQSimConfig(
-                chunk_qubits=4, cache_chunks=cap, cache_policy=policy,
+                chunk_qubits=4, cache_chunks=cap,
                 execution="serial",
                 device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
             )
@@ -312,23 +311,12 @@ class TestLiveEqualsReplay:
     def test_live_belady_hits_the_offline_bound_exactly(self, streamed):
         from repro.analysis.memtrace import belady_misses
 
-        live, trace = streamed("belady")
+        live, trace = streamed()
         assert live == belady_misses(trace, 8)
 
-    def test_live_mru_matches_simulated_mru(self, streamed):
-        from repro.analysis.memtrace import simulate_cache
-
-        live, trace = streamed("mru")
-        assert live == simulate_cache(trace, 8, "mru")[1]
-
-    def test_live_lru_matches_simulated_lru(self, streamed):
-        from repro.analysis.memtrace import simulate_cache
-
-        live, trace = streamed("lru")
-        assert live == simulate_cache(trace, 8, "lru")[1]
-
     def test_belady_never_beaten(self, streamed):
-        live_b, _ = streamed("belady")
-        live_l, _ = streamed("lru")
-        live_m, _ = streamed("mru")
-        assert live_b <= live_l and live_b <= live_m
+        from repro.analysis.memtrace import simulate_cache
+
+        live, trace = streamed()
+        assert live <= simulate_cache(trace, 8, "lru")[1]
+        assert live <= simulate_cache(trace, 8, "mru")[1]

@@ -219,7 +219,7 @@ class TestStoreWiring:
         lay = ChunkLayout(6, 3)
         inner = CompressedChunkStore(lay, get_compressor("zlib"),
                                      MemoryTracker(), telemetry=tel)
-        cache = ChunkCache(inner, capacity_chunks=2, policy="lru",
+        cache = ChunkCache(inner, capacity_chunks=2,
                            tracker=inner.tracker, telemetry=tel)
         cache.init_from_statevector(rand_state(6, seed=5))
         cache.load(0)  # miss
@@ -257,7 +257,7 @@ class TestMemGaugeEvents:
         lay = ChunkLayout(6, 3)
         inner = CompressedChunkStore(lay, get_compressor("zlib"),
                                      MemoryTracker(), telemetry=tel)
-        cache = ChunkCache(inner, capacity_chunks=2, policy="lru",
+        cache = ChunkCache(inner, capacity_chunks=2,
                            tracker=inner.tracker, telemetry=tel)
         cache.init_from_statevector(rand_state(6, seed=6))
         cache.load(0)

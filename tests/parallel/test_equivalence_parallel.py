@@ -130,7 +130,7 @@ class TestSchedulerFeatureEquivalence:
             get_workload("vqe", 9), workers=WORKERS,
             chunk_qubits=4, compressor="zlib",
             device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
-            cache_chunks=6, cache_policy="belady",
+            cache_chunks=6,
             host_store_mb=0.001,
         )
         assert rep.ok, rep.summary()
